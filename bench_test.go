@@ -16,9 +16,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	proteustm "repro"
 	"repro/internal/bench"
 	"repro/internal/cf"
 	"repro/internal/experiments"
+	"repro/internal/rectm"
 	"repro/internal/stm"
 	"repro/internal/tm"
 )
@@ -281,6 +283,20 @@ func BenchmarkBaggingSize(b *testing.B) {
 				ens.PredictDist(active)
 			}
 		})
+	}
+}
+
+// BenchmarkRecTMTrain measures recommender training as every System open
+// runs it: model selection over DefaultCandidates by cross-validation, then
+// the 10-learner bagging fit, on the synthetic training matrix of an
+// 8-thread default space (seed 42).
+func BenchmarkRecTMTrain(b *testing.B) {
+	train := proteustm.SyntheticTraining(proteustm.DefaultConfigs(8), 60, 42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rectm.Train(train, true, rectm.Options{Seed: 42, Learners: 10}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package cf_test
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -238,6 +240,45 @@ func TestSelectModelPicksReasonably(t *testing.T) {
 	}
 	if best.Score > 0.2 {
 		t.Errorf("best CV MAPE %f too high for trivially similar rows", best.Score)
+	}
+}
+
+// TestSelectModelGOMAXPROCSInvariant checks that concurrent candidate
+// scoring returns the same best candidate, the same scored order and the
+// same Score bits on one core as on four.
+func TestSelectModelGOMAXPROCSInvariant(t *testing.T) {
+	m := cf.NewMatrix(24, 16)
+	rng := uint64(7)
+	for u := range m.Data {
+		for i := range m.Data[u] {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			if rng%4 != 0 {
+				m.Data[u][i] = float64(u%5+1) * (1 + float64(rng%97)/100)
+			}
+		}
+	}
+	run := func(procs int) (cf.Candidate, []cf.Candidate) {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		return cf.SelectModel(m, cf.DefaultCandidates(), 0, 0, 11)
+	}
+	id := func(c cf.Candidate) string {
+		return fmt.Sprintf("%+v %x", c.New(), math.Float64bits(c.Score))
+	}
+	best1, scored1 := run(1)
+	best4, scored4 := run(4)
+	if id(best1) != id(best4) {
+		t.Errorf("best: GOMAXPROCS=1 %s, GOMAXPROCS=4 %s", id(best1), id(best4))
+	}
+	if len(scored1) != len(cf.DefaultCandidates()) || len(scored4) != len(scored1) {
+		t.Fatalf("scored %d and %d candidates, want %d", len(scored1), len(scored4), len(cf.DefaultCandidates()))
+	}
+	for k := range scored1 {
+		if id(scored1[k]) != id(scored4[k]) {
+			t.Errorf("scored[%d]: GOMAXPROCS=1 %s, GOMAXPROCS=4 %s", k, id(scored1[k]), id(scored4[k]))
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package cf
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 )
 
 // Candidate is one (algorithm, hyper-parameters) point evaluated during
@@ -57,6 +59,11 @@ func DefaultCandidates() []Candidate {
 // Scoring hides a fraction of each validation row's known entries, predicts
 // them from the remainder, and accumulates the mean absolute percentage
 // error in rating space.
+//
+// Candidates are scored concurrently on up to GOMAXPROCS goroutines. Every
+// random draw happens up front, in candidate order, and the best is reduced
+// in candidate order, so the result is the same bit for bit at any
+// GOMAXPROCS.
 func SelectModel(train *Matrix, cands []Candidate, folds, budget int, seed uint64) (best Candidate, scored []Candidate) {
 	if folds < 2 {
 		folds = 5
@@ -67,27 +74,34 @@ func SelectModel(train *Matrix, cands []Candidate, folds, budget int, seed uint6
 	rng := splitmix64(seed + 0x2545F4914F6CDD1D)
 
 	// Random-search subset of the candidate space.
-	idx := make([]int, len(cands))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := len(idx) - 1; i > 0; i-- {
-		j := int(rand01(&rng) * float64(i+1))
-		if j > i {
-			j = i
-		}
-		idx[i], idx[j] = idx[j], idx[i]
-	}
+	idx := permutation(len(cands), &rng)
 	if budget <= 0 || budget > len(idx) {
 		budget = len(idx)
 	}
 	idx = idx[:budget]
 
+	// One fold permutation per candidate, drawn in scoring order.
+	scored = make([]Candidate, len(idx))
+	perms := make([][]int, len(idx))
+	for k, ci := range idx {
+		scored[k] = cands[ci]
+		perms[k] = permutation(train.Rows, &rng)
+	}
+
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for k := range scored {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			scored[k].Score = crossValidate(train, scored[k].New, folds, perms[k])
+		}()
+	}
+	wg.Wait()
+
 	bestScore := math.Inf(1)
-	for _, ci := range idx {
-		cand := cands[ci]
-		cand.Score = crossValidate(train, cand.New, folds, &rng)
-		scored = append(scored, cand)
+	for _, cand := range scored {
 		if cand.Score < bestScore {
 			bestScore = cand.Score
 			best = cand
@@ -97,9 +111,8 @@ func SelectModel(train *Matrix, cands []Candidate, folds, budget int, seed uint6
 	return best, scored
 }
 
-// crossValidate scores a predictor constructor with n-fold CV over rows.
-func crossValidate(train *Matrix, newP func() Predictor, folds int, rng *uint64) float64 {
-	n := train.Rows
+// permutation returns a Fisher-Yates shuffle of 0..n-1 drawn from rng.
+func permutation(n int, rng *uint64) []int {
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
@@ -111,6 +124,13 @@ func crossValidate(train *Matrix, newP func() Predictor, folds int, rng *uint64)
 		}
 		perm[i], perm[j] = perm[j], perm[i]
 	}
+	return perm
+}
+
+// crossValidate scores a predictor constructor with n-fold CV over rows,
+// assigning rows to folds in the order of perm.
+func crossValidate(train *Matrix, newP func() Predictor, folds int, perm []int) float64 {
+	n := train.Rows
 	totalErr, totalCnt := 0.0, 0
 	for f := 0; f < folds; f++ {
 		lo, hi := f*n/folds, (f+1)*n/folds

@@ -25,7 +25,10 @@ type Options struct {
 	Predictor func() cf.Predictor
 	// Learners is the bagging ensemble size (default 10, as the paper).
 	Learners int
-	// CVFolds and SearchBudget parameterize model selection.
+	// CVFolds and SearchBudget parameterize model selection: the number
+	// of cross-validation folds (below 2 selects 5; capped at the number
+	// of training rows) and the number of randomly drawn candidates
+	// scored (0 scores all 36 of cf.DefaultCandidates).
 	CVFolds, SearchBudget int
 	// Seed drives every randomized component.
 	Seed uint64
